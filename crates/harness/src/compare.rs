@@ -159,16 +159,19 @@ pub fn filter_undefined(a: &mut Snapshot, b: &mut Snapshot, class: Option<&InstC
 
 /// Compares a target snapshot against the reference, filtering undefined
 /// behavior and classifying the root cause.
+///
+/// The filter masks copies of the two register files only; memory is never
+/// masked, so it is compared in place and neither snapshot is cloned.
 pub fn compare(reference: &Snapshot, target: &Snapshot, test_insn: &[u8]) -> Option<Difference> {
     let class = class_of(test_insn);
-    let mut a = reference.clone();
-    let mut b = target.clone();
+    let (mut a, mut b) = (reference.registers(), target.registers());
     filter_undefined(&mut a, &mut b, class.as_ref());
-    let components = a.diff(&b);
+    let mut components = a.diff(&b);
+    reference.push_mem_diff(target, &mut components);
     if components.is_empty() {
         return None;
     }
-    let cause = classify(&a, &b, &components, class.as_ref());
+    let cause = classify(reference, target, &components, class.as_ref());
     Some(Difference {
         components,
         cause,
@@ -177,6 +180,9 @@ pub fn compare(reference: &Snapshot, target: &Snapshot, test_insn: &[u8]) -> Opt
     })
 }
 
+/// Infers the root cause. Only the outcomes and memory of the snapshots
+/// are read, neither of which the undefined-behavior filter touches, so
+/// the unfiltered snapshots serve.
 fn classify(
     reference: &Snapshot,
     target: &Snapshot,
@@ -240,16 +246,8 @@ fn classify(
     let only_gdt_accessed = components.iter().all(|c| c.starts_with("mem[")) && {
         let gdt = pokemu_testgen::layout::GDT_BASE;
         reference
-            .mem
-            .iter()
-            .filter(|(k, v)| target.mem.get(k) != Some(v))
-            .chain(
-                target
-                    .mem
-                    .iter()
-                    .filter(|(k, v)| reference.mem.get(k) != Some(v)),
-            )
-            .all(|(&k, _)| (gdt..gdt + 8192 * 8).contains(&k) && (k - gdt) % 8 == 5)
+            .mem_diff(target)
+            .all(|(k, _, _)| (gdt..gdt + 8192 * 8).contains(&k) && (k - gdt) % 8 == 5)
     };
     if only_gdt_accessed && !components.is_empty() {
         return RootCause::AccessedFlag;
@@ -383,5 +381,31 @@ mod tests {
     fn identical_snapshots_compare_clean() {
         let s = crate::targets::baseline_snapshot();
         assert!(compare(&s, &s, &[0x90]).is_none());
+    }
+
+    #[test]
+    fn gdt_attribute_bytes_alone_are_accessed_flag() {
+        let gdt = pokemu_testgen::layout::GDT_BASE;
+        let reference = crate::targets::baseline_snapshot();
+        let mut target = reference.clone();
+        // The baseline DS descriptor with its accessed bit flipped, and a
+        // far entry's attribute byte that only the target has: both at
+        // offset 5 of an entry.
+        let ds = pokemu_testgen::layout::gdt_index(pokemu_isa::state::Seg::Ds) as u32;
+        let attrs = gdt + ds * 8 + 5;
+        let base = *reference.mem.get(&attrs).expect("baseline descriptor");
+        target.mem.insert(attrs, base ^ 1);
+        let far = gdt + 100 * 8 + 5;
+        assert!(!reference.mem.contains_key(&far));
+        target.mem.insert(far, 0x93);
+        let d = compare(&reference, &target, &[0x8e, 0xd8]).expect("differs");
+        assert_eq!(d.cause, RootCause::AccessedFlag, "{:?}", d.components);
+
+        // One differing byte outside the GDT window is something else.
+        let outside = gdt + 8192 * 8 + 5;
+        let was = reference.mem.get(&outside).copied().unwrap_or(0);
+        target.mem.insert(outside, was ^ 0x80);
+        let d = compare(&reference, &target, &[0x8e, 0xd8]).expect("differs");
+        assert_ne!(d.cause, RootCause::AccessedFlag, "{:?}", d.components);
     }
 }

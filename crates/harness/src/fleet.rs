@@ -51,9 +51,8 @@ use pokemu_rt::history::{self, RunRecord};
 use pokemu_rt::json::{self, escape, Value};
 use pokemu_rt::{fault, metrics, rng};
 
-use crate::compare::compare;
 use crate::manifest::{deviation_json, note_write_failure};
-use crate::pipeline::{generate_for_instruction, run_on_all_targets, DeviationRecord};
+use crate::pipeline::{analyze_case, generate_for_instruction, DeviationRecord};
 use crate::targets::baseline_snapshot;
 
 /// Environment variable a worker sets to its shard name (`shard-N`) so
@@ -495,11 +494,12 @@ fn load_checkpoint(path: &Path, config_fp: &str) -> Checkpoint {
     }
 }
 
-/// Runs one instruction exactly like the pipeline's worker + analysis
-/// stages: generate test programs, execute on all three targets, compare
-/// with the undefined-behavior filter, and record every deviation with
-/// provenance — in program order, lofi before hifi per case, so the merged
-/// deviation list is byte-identical to a single-process run's.
+/// Runs one instruction exactly like the pipeline's pool item + analysis
+/// fold: generate test programs, run each through [`analyze_case`] (all
+/// three targets, then the compare with the undefined-behavior filter),
+/// and record every deviation with provenance — in program order, lofi
+/// before hifi per case, so the merged deviation list is byte-identical to
+/// a single-process run's.
 fn process_instruction(
     index: usize,
     name: &str,
@@ -524,37 +524,12 @@ fn process_instruction(
         deviations: Vec::new(),
     };
     for p in &gen.programs {
-        let case = run_on_all_targets(p, Fidelity::QEMU_LIKE);
-        if !case.hardware.same_behavior(&case.lofi) {
-            rec.lofi_differences += 1;
-        }
-        if !case.hardware.same_behavior(&case.hifi) {
-            rec.hifi_differences += 1;
-        }
-        if let Some(mut d) = compare(&case.hardware, &case.lofi, &p.test_insn) {
-            d.path_id = p.path_id;
-            rec.lofi_filtered += 1;
-            rec.deviations.push(DeviationRecord {
-                target: "lofi".to_owned(),
-                test: case.name.clone(),
-                insn_hex: rec.hex.clone(),
-                path_id: d.path_id,
-                cause: d.cause.to_string(),
-                components: d.components.clone(),
-            });
-        }
-        if let Some(mut d) = compare(&case.hardware, &case.hifi, &p.test_insn) {
-            d.path_id = p.path_id;
-            rec.hifi_filtered += 1;
-            rec.deviations.push(DeviationRecord {
-                target: "hifi".to_owned(),
-                test: case.name.clone(),
-                insn_hex: rec.hex.clone(),
-                path_id: d.path_id,
-                cause: d.cause.to_string(),
-                components: d.components.clone(),
-            });
-        }
+        let case = analyze_case(p, Fidelity::QEMU_LIKE);
+        rec.lofi_differences += usize::from(case.lofi_differs);
+        rec.hifi_differences += usize::from(case.hifi_differs);
+        rec.lofi_filtered += usize::from(case.lofi.is_some());
+        rec.hifi_filtered += usize::from(case.hifi.is_some());
+        rec.deviations.extend(case.deviations());
     }
     rec
 }

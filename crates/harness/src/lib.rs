@@ -27,8 +27,8 @@ pub use conformance::{
 pub use fleet::{run_fleet, FleetConfig, FleetOutcome, ShardReport, ShardStatus};
 pub use manifest::RunManifest;
 pub use pipeline::{
-    generate_for_instruction, run_cross_validation, run_on_all_targets, CaseOutcome,
-    CrossValidation, DeviationRecord, InsnGeneration, PipelineConfig, StageStats,
+    analyze_case, generate_for_instruction, run_cross_validation, run_on_all_targets, CaseAnalysis,
+    CaseOutcome, CrossValidation, DeviationRecord, InsnGeneration, PipelineConfig, StageStats,
     INSN_DEADLINE_ENV, RUN_DEADLINE_ENV,
 };
 pub use random::{run_random_baseline, RandomConfig, RandomRun};

@@ -2,10 +2,13 @@
 //! exploration → per-instruction state-space exploration → test-program
 //! generation → execution on every target → difference analysis.
 //!
-//! Generation and execution are both embarrassingly parallel (the paper ran
-//! on 3×8-core EC2 instances, §6); [`run_cross_validation`] fans out over
-//! worker threads with [`pokemu_rt::for_each`] and reports a per-stage cost
-//! breakdown (the E6 experiment) in [`StageStats`].
+//! Generation, execution and comparison are all embarrassingly parallel
+//! (the paper ran on 3×8-core EC2 instances, §6); [`run_cross_validation`]
+//! fans out over worker threads with [`pokemu_rt::for_each`] and reports a
+//! per-stage cost breakdown (the E6 experiment) in [`StageStats`]. Each
+//! pool item runs its tests through [`analyze_case`], which compares the
+//! snapshots and drops them; the sequential analyze stage only folds the
+//! per-case results into counters, clusters and deviations in item order.
 //!
 //! Every stage is instrumented through `pokemu_rt::trace`: the run is a
 //! `pipeline.run` span containing one span per Fig. 1 stage
@@ -32,7 +35,7 @@ use pokemu_isa::snapshot::Snapshot;
 use pokemu_lofi::Fidelity;
 use pokemu_testgen::TestProgram;
 
-use crate::compare::{compare, Clusters};
+use crate::compare::{compare, Clusters, Difference};
 use crate::targets::{baseline_snapshot, HardwareTarget, HiFiTarget, LofiTarget, Target};
 
 /// Pipeline configuration.
@@ -142,10 +145,12 @@ pub struct StageStats {
     /// Worker time summed over state-space exploration + test generation
     /// (Fig. 1 steps 2–3).
     pub generate: Duration,
-    /// Worker time summed over executing tests on all three targets
-    /// (Fig. 1 step 4).
+    /// Worker time summed over executing tests on all three targets and
+    /// comparing their snapshots (Fig. 1 step 4 and the per-case half of
+    /// step 5).
     pub execute: Duration,
-    /// Wall time of the sequential difference analysis (Fig. 1 step 5).
+    /// Wall time of the sequential fold of per-case comparisons into
+    /// counters, clusters and deviations (the rest of Fig. 1 step 5).
     pub analyze: Duration,
     /// Wall time of the parallel generate+execute section; less than
     /// `generate + execute` when the run actually parallelized.
@@ -233,6 +238,76 @@ pub fn run_on_all_targets(prog: &TestProgram, lofi_fidelity: Fidelity) -> CaseOu
     }
 }
 
+impl DeviationRecord {
+    /// The record of one filtered difference found by `target` on `test`.
+    pub fn new(target: &str, test: &str, d: &Difference) -> DeviationRecord {
+        DeviationRecord {
+            target: target.to_owned(),
+            test: test.to_owned(),
+            insn_hex: hex(&d.insn),
+            path_id: d.path_id,
+            cause: d.cause.to_string(),
+            components: d.components.clone(),
+        }
+    }
+}
+
+/// One test compared against the hardware oracle, without its snapshots:
+/// the raw verdicts the paper's headline counts use and the differences
+/// that survive the undefined-behavior filter.
+#[derive(Debug)]
+pub struct CaseAnalysis {
+    /// Test identity.
+    pub name: String,
+    /// Lo-Fi behavior differs from the oracle before the filter.
+    pub lofi_differs: bool,
+    /// Hi-Fi behavior differs from the oracle before the filter.
+    pub hifi_differs: bool,
+    /// The filtered Lo-Fi difference, with the test's path id attached.
+    pub lofi: Option<Difference>,
+    /// The filtered Hi-Fi difference, with the test's path id attached.
+    pub hifi: Option<Difference>,
+}
+
+impl CaseAnalysis {
+    /// The filtered differences as deviation records, Lo-Fi before Hi-Fi:
+    /// the order of every deviation list.
+    pub fn deviations(&self) -> impl Iterator<Item = DeviationRecord> + '_ {
+        [("lofi", &self.lofi), ("hifi", &self.hifi)]
+            .into_iter()
+            .filter_map(|(target, d)| Some(DeviationRecord::new(target, &self.name, d.as_ref()?)))
+    }
+}
+
+/// Runs one test program on all three targets and compares both emulators
+/// against the oracle: the per-case work of Fig. 1 steps 4–5, shared by
+/// the pipeline's pool items, the fleet's shards and the conformance
+/// corpus. The snapshots are dropped before it returns.
+pub fn analyze_case(prog: &TestProgram, lofi_fidelity: Fidelity) -> CaseAnalysis {
+    let case = run_on_all_targets(prog, lofi_fidelity);
+    // Identical snapshots leave nothing for the filter to find, so only a
+    // raw difference pays for the filtered compare.
+    let check = |snap: &Snapshot| {
+        if case.hardware.same_behavior(snap) {
+            return (false, None);
+        }
+        let d = compare(&case.hardware, snap, &prog.test_insn).map(|mut d| {
+            d.path_id = prog.path_id;
+            d
+        });
+        (true, d)
+    };
+    let (lofi_differs, lofi) = check(&case.lofi);
+    let (hifi_differs, hifi) = check(&case.hifi);
+    CaseAnalysis {
+        name: case.name,
+        lofi_differs,
+        hifi_differs,
+        lofi,
+        hifi,
+    }
+}
+
 /// What [`generate_for_instruction`] produced for one instruction.
 #[derive(Debug)]
 pub struct InsnGeneration {
@@ -304,8 +379,8 @@ struct ItemOutcome {
     solver_queries: u64,
     unknown_queries: u64,
     infeasible_paths: usize,
-    /// `(test name, instruction bytes, path id, outcome)` per test program.
-    cases: Vec<(String, Vec<u8>, u64, CaseOutcome)>,
+    /// One analysis per test program, in program order.
+    cases: Vec<CaseAnalysis>,
 }
 
 fn hex(bytes: &[u8]) -> String {
@@ -424,10 +499,7 @@ pub fn run_cross_validation(config: PipelineConfig) -> CrossValidation {
                     let _ef = prof::frame("stage.execute");
                     gen.programs
                         .iter()
-                        .map(|p| {
-                            let case = run_on_all_targets(p, config.lofi_fidelity);
-                            (p.name.clone(), p.test_insn.clone(), p.path_id, case)
-                        })
+                        .map(|p| analyze_case(p, config.lofi_fidelity))
                         .collect::<Vec<_>>()
                 },
             );
@@ -454,9 +526,10 @@ pub fn run_cross_validation(config: PipelineConfig) -> CrossValidation {
         });
     }
 
-    // Step 5: sequential difference analysis, in item order (instruction
-    // classes are sorted by exploration), so counters and clusters are
-    // deterministic regardless of worker scheduling.
+    // Step 5: the sequential fold of the items' case analyses, in item
+    // order (instruction classes are sorted by exploration), so counters,
+    // clusters and deviations are deterministic regardless of worker
+    // scheduling.
     let (solver_queries, analyze) = trace::timed("stage.analyze", || {
         let _af = prof::frame("stage.analyze");
         let mut solver_queries = 0u64;
@@ -481,24 +554,19 @@ pub fn run_cross_validation(config: PipelineConfig) -> CrossValidation {
                 out.fully_explored += 1;
             }
             out.total_paths += n_paths;
-            for (case_name, insn, path_id, case) in cases {
-                if !case.hardware.same_behavior(&case.lofi) {
-                    out.lofi_differences += 1;
-                }
-                if !case.hardware.same_behavior(&case.hifi) {
-                    out.hifi_differences += 1;
-                }
-                if let Some(mut d) = compare(&case.hardware, &case.lofi, &insn) {
-                    d.path_id = path_id;
+            for case in cases {
+                out.lofi_differences += usize::from(case.lofi_differs);
+                out.hifi_differences += usize::from(case.hifi_differs);
+                if let Some(d) = &case.lofi {
                     out.lofi_filtered += 1;
-                    out.lofi_clusters.add(&case_name, &d);
-                    record_deviation(&mut out.deviations, "lofi", &case_name, &d);
+                    out.lofi_clusters.add(&case.name, d);
                 }
-                if let Some(mut d) = compare(&case.hardware, &case.hifi, &insn) {
-                    d.path_id = path_id;
+                if let Some(d) = &case.hifi {
                     out.hifi_filtered += 1;
-                    out.hifi_clusters.add(&case_name, &d);
-                    record_deviation(&mut out.deviations, "hifi", &case_name, &d);
+                    out.hifi_clusters.add(&case.name, d);
+                }
+                for dev in case.deviations() {
+                    record_deviation(&mut out.deviations, dev);
                 }
             }
         }
@@ -621,21 +689,12 @@ pub fn run_cross_validation(config: PipelineConfig) -> CrossValidation {
 /// Appends one deviation record and leaves a breadcrumb in the flight
 /// recorder (the recorder's merged dump is written alongside the manifest
 /// whenever a run with deviations finishes).
-fn record_deviation(
-    deviations: &mut Vec<DeviationRecord>,
-    target: &str,
-    test: &str,
-    d: &crate::compare::Difference,
-) {
+fn record_deviation(deviations: &mut Vec<DeviationRecord>, dev: DeviationRecord) {
     flight::note("pipeline.deviation", || {
-        format!("{target} {test} insn={} cause={}", hex(&d.insn), d.cause)
+        format!(
+            "{} {} insn={} cause={}",
+            dev.target, dev.test, dev.insn_hex, dev.cause
+        )
     });
-    deviations.push(DeviationRecord {
-        target: target.to_owned(),
-        test: test.to_owned(),
-        insn_hex: hex(&d.insn),
-        path_id: d.path_id,
-        cause: d.cause.to_string(),
-        components: d.components.clone(),
-    });
+    deviations.push(dev);
 }

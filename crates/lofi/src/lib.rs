@@ -828,34 +828,32 @@ impl Lofi {
             };
         }
         // Guest RAM is one flat allocation that is almost entirely zero;
-        // skip it a word at a time and only byte-scan words with content
+        // skip it a chunk at a time and only byte-scan chunks with content
         // (the reference target snapshots sparsely via `iter_initialized`,
         // so a byte-granular scan here would bill multi-millisecond costs
-        // to the Lo-Fi side alone).
-        let mut mem = std::collections::BTreeMap::new();
+        // to the Lo-Fi side alone). The walk is in address order, so
+        // `collect` bulk-builds the map instead of inserting byte by byte.
         const CHUNK: usize = 4096;
-        let chunks = m.ram.chunks_exact(CHUNK);
-        let tail_start = m.ram.len() - chunks.remainder().len();
-        for (ci, chunk) in chunks.enumerate() {
-            // OR-reduce the whole chunk first (vectorizes to a handful of
-            // wide loads); only chunks with content get the byte scan.
-            let any = chunk.chunks_exact(8).fold(0u64, |acc, w| {
-                acc | u64::from_ne_bytes(w.try_into().expect("8-byte chunk"))
-            });
-            if any == 0 {
-                continue;
-            }
-            for (j, &b) in chunk.iter().enumerate() {
-                if b != 0 {
-                    mem.insert((ci * CHUNK + j) as u32, b);
-                }
-            }
-        }
-        for (j, &b) in m.ram[tail_start..].iter().enumerate() {
-            if b != 0 {
-                mem.insert((tail_start + j) as u32, b);
-            }
-        }
+        let mem = m
+            .ram
+            .chunks(CHUNK)
+            .enumerate()
+            .filter(|(_, chunk)| {
+                // OR-reduce the whole chunk first (vectorizes to a handful
+                // of wide loads); a short tail chunk is always scanned.
+                chunk.len() < CHUNK
+                    || chunk.chunks_exact(8).fold(0u64, |acc, w| {
+                        acc | u64::from_ne_bytes(w.try_into().expect("8-byte chunk"))
+                    }) != 0
+            })
+            .flat_map(|(ci, chunk)| {
+                chunk
+                    .iter()
+                    .enumerate()
+                    .filter(|&(_, &b)| b != 0)
+                    .map(move |(j, &b)| ((ci * CHUNK + j) as u32, b))
+            })
+            .collect();
         Snapshot {
             gpr: m.gpr,
             eip: m.eip,

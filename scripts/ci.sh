@@ -10,6 +10,9 @@ cargo fmt --all --check
 echo "== cargo build --release"
 cargo build --workspace --release --offline
 
+echo "== e2ebench build (the benchmark compiles against the public API)"
+cargo build --release --offline --manifest-path e2ebench/Cargo.toml
+
 echo "== cargo test"
 cargo test --workspace --offline -q
 
