@@ -42,7 +42,7 @@ use pokemu::harness::{
 };
 use pokemu::lofi::Fidelity;
 use pokemu::testgen::{TestProgram, TestState};
-use pokemu_rt::{history, metrics, prof, rng};
+use pokemu_rt::{history, metrics, rng};
 
 /// Schema version stamped into every perf JSON and baseline.
 const SCHEMA: u64 = 1;
@@ -393,10 +393,6 @@ fn main() {
             }
         }
     }
-
-    // Timing attribution on: the per-origin solver timers feed the
-    // pipeline_smoke ratio. Counters stay deterministic regardless.
-    prof::set_enabled(true);
 
     let bench_dir = pokemu_rt::bench::target_dir().join("bench");
     std::fs::create_dir_all(&bench_dir).expect("create target/bench");

@@ -530,7 +530,7 @@ impl Report {
         if total == 0 {
             return Err(
                 "no pipeline.ns.total timer in the metrics dump (re-run the pipeline under \
-                 POKEMU_TRACE=1 or POKEMU_PROF=1)"
+                 POKEMU_TRACE=1 to export one)"
                     .to_owned(),
             );
         }

@@ -74,7 +74,7 @@ pub fn opcode_coverage_index(opcode: u16) -> usize {
 
 /// Explores the decoder, returning candidates and unique classes.
 pub fn explore_instruction_space(config: InsnSpaceConfig) -> InsnSpace {
-    let _span = pokemu_rt::span!("explore.insn_space");
+    let _scope = pokemu_rt::scope!("explore.insn_space");
     let mut exec = Executor::with_config(ExploreConfig {
         max_paths: config.max_paths,
         ..ExploreConfig::default()

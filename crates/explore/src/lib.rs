@@ -28,31 +28,13 @@ pub use state_space::{
 #[cfg(test)]
 pub(crate) fn baseline_snapshot() -> pokemu_isa::snapshot::Snapshot {
     use pokemu_hifi::HiFi;
-    use pokemu_isa::state::{attrs, Seg};
-    use pokemu_symx::Dom;
-    use pokemu_testgen::{boot_state, layout, TestProgram};
+    use pokemu_testgen::{apply_boot, layout, TestProgram};
 
     let prog = TestProgram::baseline_only("baseline".into(), &[0x90]).expect("baseline builds");
-    let boot = boot_state();
     let mut emu = HiFi::new();
     {
         let (d, m) = emu.parts_mut();
-        m.cr0 = d.constant(32, boot.cr0 as u64);
-        m.eip = boot.eip;
-        m.gpr[4] = d.constant(32, boot.esp as u64);
-        for seg in Seg::ALL {
-            let typ: u64 = if seg == Seg::Cs { 0xb } else { 0x3 };
-            let a = typ
-                | (1 << attrs::S as u64)
-                | (1 << attrs::P as u64)
-                | (1 << attrs::DB as u64)
-                | (1 << attrs::G as u64);
-            let s = &mut m.segs[seg as usize];
-            s.selector = d.constant(16, 0x8);
-            s.cache.base = d.constant(32, 0);
-            s.cache.limit = d.constant(32, 0xffff_ffff);
-            s.cache.attrs = d.constant(attrs::WIDTH, a);
-        }
+        apply_boot(d, m);
     }
     emu.load_image(layout::CODE_BASE, &prog.code);
     let exit = emu.run(20_000);

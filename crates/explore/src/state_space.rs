@@ -201,8 +201,7 @@ pub fn explore_state_space(
     baseline: &Snapshot,
     config: StateSpaceConfig,
 ) -> StateSpace {
-    let _span = pokemu_rt::span!("explore.state_space", insn = insn_hex(insn));
-    let _frame = pokemu_rt::prof::frame("explore.state_space");
+    let _scope = pokemu_rt::scope!("explore.state_space", insn = insn_hex(insn));
     // Solver queries issued anywhere below carry this instruction's hex in
     // their provenance (flight notes, slow-query attribution).
     let _insn_ctx = pokemu_solver::origin::insn_scoped(insn_hex(insn));

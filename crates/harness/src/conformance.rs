@@ -282,7 +282,7 @@ fn reload_segment(seg: Seg) -> ChainSegment {
 /// Builds the committed corpus: every data-driven recipe plus the directed
 /// accessed-bit chains. Deterministic for a fixed binary.
 pub fn build_corpus() -> Vec<TestProgram> {
-    let _span = pokemu_rt::span!("conformance.build_corpus");
+    let _scope = pokemu_rt::scope!("conformance.build_corpus");
     let baseline = baseline_snapshot();
     let mut cache: HashMap<&str, FamilyPaths> = HashMap::new();
     for (key, insn) in FAMILIES {
@@ -377,7 +377,7 @@ pub struct ConformanceRun {
 /// are slot-indexed, so the output order (and content) is independent of
 /// the thread count.
 pub fn run_conformance(corpus: &[TestProgram], threads: usize) -> ConformanceRun {
-    let _span = pokemu_rt::span!("conformance.run");
+    let _scope = pokemu_rt::scope!("conformance.run");
     let slots: Vec<OnceLock<ProgramResult>> = (0..corpus.len()).map(|_| OnceLock::new()).collect();
     let run = pool::for_each_budgeted(threads, corpus.len(), None, |i| {
         let r = result_of(&corpus[i], CONFORMANCE_FIDELITY);

@@ -123,16 +123,15 @@ pub fn build_record(
         r.det(format!("hot_tb.0x{eip:08x}"), execs);
     }
 
-    // Timing: stage wall clocks from StageStats (always present, so
-    // attribution works even without POKEMU_PROF)…
+    // Timing: stage wall clocks from StageStats…
     r.timing("wall.total", ns(out.stages.total_wall));
     r.timing("wall.explore_insns", ns(out.stages.explore_insns));
     r.timing("wall.parallel", ns(out.stages.parallel_wall));
     r.timing("wall.analyze", ns(out.stages.analyze));
     r.timing("wall.generate", ns(out.stages.generate));
     r.timing("wall.execute", ns(out.stages.execute));
-    // …plus every run-delta timer (per-origin solver time when profiling
-    // is on) and histogram percentiles under documented names.
+    // …plus every run-delta timer (per-origin solver time, per-target
+    // time) and histogram percentiles under documented names.
     for (name, value) in &delta.timers {
         r.timing(name.clone(), *value as f64);
     }

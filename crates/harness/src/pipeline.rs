@@ -10,16 +10,18 @@
 //! snapshots and drops them; the sequential analyze stage only folds the
 //! per-case results into counters, clusters and deviations in item order.
 //!
-//! Every stage is instrumented through `pokemu_rt::trace`: the run is a
-//! `pipeline.run` span containing one span per Fig. 1 stage
+//! Every stage is instrumented with one `pokemu_rt::scope!` each: the run
+//! is a `pipeline.run` scope containing one scope per Fig. 1 stage
 //! (`stage.explore_insns`, `stage.explore_states`, `stage.testgen`,
-//! `stage.execute`, `stage.analyze`), with one `pipeline.instruction` span
-//! per explored instruction on the worker that processed it. Stage worker
-//! time accumulates in `stage.*.ns` timer metrics, and [`StageStats`] is a
-//! view over those plus the span durations — there are no private timing
-//! counters left in the pipeline itself. Span recording is off unless
-//! [`PipelineConfig::trace`] or `POKEMU_TRACE=1` turns it on; when the
-//! environment variable is set, a finished run also exports
+//! `stage.execute`, `stage.analyze`), with one `pipeline.instruction`
+//! scope per explored instruction on the worker that processed it. Each
+//! scope feeds its timer metric (`pipeline.ns.*` on the main thread,
+//! `stage.*.ns` summed over workers), and [`StageStats`] is a view over
+//! those timers and the scopes' own durations — there are no private
+//! timing counters left in the pipeline itself. The same scopes become
+//! trace spans under [`PipelineConfig::trace`] or `POKEMU_TRACE=1`, and
+//! profile frames under `POKEMU_PROF=1`; when the environment variable is
+//! set, a finished run also exports
 //! `target/trace/cross_validation.trace.json` (Chrome `trace_event` format)
 //! and `target/trace/cross_validation.metrics.jsonl` for `pokemu-report`.
 
@@ -335,34 +337,22 @@ pub fn generate_for_instruction(
     max_paths: usize,
     deadline: Option<Instant>,
 ) -> InsnGeneration {
-    let (space, explore_d) = trace::timed_with(
-        "stage.explore_states",
-        || vec![("insn", name.to_owned())],
-        || {
-            prof::framed("stage.explore_states", || {
-                explore_state_space(
-                    insn,
-                    baseline,
-                    StateSpaceConfig {
-                        max_paths,
-                        deadline,
-                        ..StateSpaceConfig::default()
-                    },
-                )
-            })
+    let scope = pokemu_rt::scope!("stage.explore_states", insn = name)
+        .timer(metrics::timer("stage.explore_states.ns"));
+    let space = explore_state_space(
+        insn,
+        baseline,
+        StateSpaceConfig {
+            max_paths,
+            deadline,
+            ..StateSpaceConfig::default()
         },
     );
-    metrics::timer("stage.explore_states.ns").add(explore_d);
-    let (programs, testgen_d) = trace::timed_with(
-        "stage.testgen",
-        || vec![("insn", name.to_owned())],
-        || {
-            prof::framed("stage.testgen", || {
-                pokemu_explore::to_test_programs(&space, name)
-            })
-        },
-    );
-    metrics::timer("stage.testgen.ns").add(testgen_d);
+    drop(scope);
+    let scope =
+        pokemu_rt::scope!("stage.testgen", insn = name).timer(metrics::timer("stage.testgen.ns"));
+    let programs = pokemu_explore::to_test_programs(&space, name);
+    drop(scope);
     InsnGeneration {
         programs,
         complete: space.complete,
@@ -419,7 +409,8 @@ pub fn run_cross_validation(config: PipelineConfig) -> CrossValidation {
         flight::set_dump_dir(crate::manifest::run_dir(&run_id));
     }
     flight::install_panic_hook();
-    let run_start = Instant::now();
+    let run_scope = pokemu_rt::scope!("pipeline.run").timer(metrics::timer("pipeline.ns.total"));
+    let run_deadline = config.run_deadline.map(|d| Instant::now() + d);
     let metrics_start = metrics::snapshot();
     // The hot-TB table is process-cumulative; snapshot it so the ledger
     // record carries this run's execution delta only (thread-invariant).
@@ -429,22 +420,22 @@ pub fn run_cross_validation(config: PipelineConfig) -> CrossValidation {
     } else {
         Default::default()
     };
-    let run_span = pokemu_rt::span!("pipeline.run");
-    let run_frame = prof::frame("pipeline.run");
-    let (baseline, setup_wall) = trace::timed("pipeline.setup", || {
-        prof::framed("pipeline.setup", baseline_snapshot)
-    });
+    // The pipeline-level wall timers: the attribution table `pokemu-report
+    // perf` checks against (setup + explore_insns + parallel + analyze
+    // must cover ≥95% of total).
+    let scope = pokemu_rt::scope!("pipeline.setup").timer(metrics::timer("pipeline.ns.setup"));
+    let baseline = baseline_snapshot();
+    drop(scope);
 
     // Step 1: instruction-set exploration (Fig. 1 (1)).
-    let (insn_space, explore_insns) = trace::timed("stage.explore_insns", || {
-        prof::framed("stage.explore_insns", || {
-            explore_instruction_space(InsnSpaceConfig {
-                first_byte: config.first_byte,
-                second_byte: config.second_byte,
-                ..InsnSpaceConfig::default()
-            })
-        })
+    let scope =
+        pokemu_rt::scope!("stage.explore_insns").timer(metrics::timer("pipeline.ns.explore_insns"));
+    let insn_space = explore_instruction_space(InsnSpaceConfig {
+        first_byte: config.first_byte,
+        second_byte: config.second_byte,
+        ..InsnSpaceConfig::default()
     });
+    let explore_insns = scope.close();
     let mut reps = insn_space.classes;
     reps.truncate(config.max_instructions);
 
@@ -457,66 +448,59 @@ pub fn run_cross_validation(config: PipelineConfig) -> CrossValidation {
     // Steps 2-4, parallel over instructions. Each worker writes its result
     // into the slot for its item index — no result lock, no post-hoc sort:
     // slot order *is* the deterministic analysis order. Stage timing flows
-    // through the `stage.*` spans and timer metrics recorded per item.
+    // through the `stage.*` scopes and their timer metrics per item.
     // A slot can legitimately stay empty: its item panicked (quarantined
     // by the pool) or was never dispatched (run deadline).
-    let run_deadline = config.run_deadline.map(|d| run_start + d);
     let results: Vec<OnceLock<ItemOutcome>> = (0..reps.len()).map(|_| OnceLock::new()).collect();
-    let (pool_run, parallel_wall) = trace::timed("stage.parallel", || {
-        // The main thread's frame covers dispatch + wait; each worker's
-        // per-item frames start their own stacks on the worker threads and
-        // are merged when the pool flushes them at exit.
-        let _pf = prof::frame("stage.parallel");
-        pool::for_each_budgeted(config.threads, reps.len(), run_deadline, |i| {
-            let rep = &reps[i];
-            let name = rep.class.to_string();
-            let _insn_span = pokemu_rt::span!("pipeline.instruction", insn = name);
-            let _insn_frame = prof::frame("pipeline.instruction");
-            flight::note("pipeline.instruction", || {
-                format!("{name} ({})", hex(&rep.bytes))
-            });
-            // The per-instruction budget starts when the worker picks the
-            // item up; the run deadline caps it so a whole-run timeout is
-            // never stuck behind one slow exploration.
-            let insn_deadline = match (
-                config.insn_deadline.map(|d| Instant::now() + d),
-                run_deadline,
-            ) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                (a, b) => a.or(b),
-            };
-            let gen = generate_for_instruction(
-                &name,
-                &rep.bytes,
-                &baseline,
-                config.max_paths_per_insn,
-                insn_deadline,
-            );
-            let (cases, execute_d) = trace::timed_with(
-                "stage.execute",
-                || vec![("insn", name.clone())],
-                || {
-                    let _ef = prof::frame("stage.execute");
-                    gen.programs
-                        .iter()
-                        .map(|p| analyze_case(p, config.lofi_fidelity))
-                        .collect::<Vec<_>>()
-                },
-            );
-            metrics::timer("stage.execute.ns").add(execute_d);
-            let slot_was_empty = results[i]
-                .set(ItemOutcome {
-                    complete: gen.complete,
-                    n_paths: gen.programs.len(),
-                    solver_queries: gen.solver_queries,
-                    unknown_queries: gen.unknown_queries,
-                    infeasible_paths: gen.infeasible_paths,
-                    cases,
-                })
-                .is_ok();
-            assert!(slot_was_empty, "pool delivered item {i} twice");
-        })
+    // The main thread's scope covers dispatch + wait; each worker's
+    // per-item scopes start their own stacks on the worker threads and
+    // are merged when the pool flushes them at exit.
+    let scope = pokemu_rt::scope!("stage.parallel").timer(metrics::timer("pipeline.ns.parallel"));
+    let pool_run = pool::for_each_budgeted(config.threads, reps.len(), run_deadline, |i| {
+        let rep = &reps[i];
+        let name = rep.class.to_string();
+        let _insn_scope = pokemu_rt::scope!("pipeline.instruction", insn = name);
+        flight::note("pipeline.instruction", || {
+            format!("{name} ({})", hex(&rep.bytes))
+        });
+        // The per-instruction budget starts when the worker picks the
+        // item up; the run deadline caps it so a whole-run timeout is
+        // never stuck behind one slow exploration.
+        let insn_deadline = match (
+            config.insn_deadline.map(|d| Instant::now() + d),
+            run_deadline,
+        ) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        };
+        let gen = generate_for_instruction(
+            &name,
+            &rep.bytes,
+            &baseline,
+            config.max_paths_per_insn,
+            insn_deadline,
+        );
+        let scope = pokemu_rt::scope!("stage.execute", insn = name)
+            .timer(metrics::timer("stage.execute.ns"));
+        let cases: Vec<_> = gen
+            .programs
+            .iter()
+            .map(|p| analyze_case(p, config.lofi_fidelity))
+            .collect();
+        drop(scope);
+        let slot_was_empty = results[i]
+            .set(ItemOutcome {
+                complete: gen.complete,
+                n_paths: gen.programs.len(),
+                solver_queries: gen.solver_queries,
+                unknown_queries: gen.unknown_queries,
+                infeasible_paths: gen.infeasible_paths,
+                cases,
+            })
+            .is_ok();
+        assert!(slot_was_empty, "pool delivered item {i} twice");
     });
+    let parallel_wall = scope.close();
     out.completed = !pool_run.deadline_hit;
     out.skipped_instructions = pool_run.skipped;
     out.quarantined = pool_run.quarantined.clone();
@@ -530,62 +514,47 @@ pub fn run_cross_validation(config: PipelineConfig) -> CrossValidation {
     // order (instruction classes are sorted by exploration), so counters,
     // clusters and deviations are deterministic regardless of worker
     // scheduling.
-    let (solver_queries, analyze) = trace::timed("stage.analyze", || {
-        let _af = prof::frame("stage.analyze");
-        let mut solver_queries = 0u64;
-        for slot in results {
-            // Quarantined or skipped items have no outcome; their absence
-            // is already accounted in `quarantined`/`skipped_instructions`.
-            let Some(item) = slot.into_inner() else {
-                continue;
-            };
-            let ItemOutcome {
-                complete,
-                n_paths,
-                solver_queries: queries,
-                unknown_queries,
-                infeasible_paths,
-                cases,
-            } = item;
-            solver_queries += queries;
-            out.unknown_queries += unknown_queries;
-            out.infeasible_paths += infeasible_paths;
-            if complete {
-                out.fully_explored += 1;
+    let scope = pokemu_rt::scope!("stage.analyze").timer(metrics::timer("pipeline.ns.analyze"));
+    let mut solver_queries = 0u64;
+    for slot in results {
+        // Quarantined or skipped items have no outcome; their absence
+        // is already accounted in `quarantined`/`skipped_instructions`.
+        let Some(item) = slot.into_inner() else {
+            continue;
+        };
+        let ItemOutcome {
+            complete,
+            n_paths,
+            solver_queries: queries,
+            unknown_queries,
+            infeasible_paths,
+            cases,
+        } = item;
+        solver_queries += queries;
+        out.unknown_queries += unknown_queries;
+        out.infeasible_paths += infeasible_paths;
+        if complete {
+            out.fully_explored += 1;
+        }
+        out.total_paths += n_paths;
+        for case in cases {
+            out.lofi_differences += usize::from(case.lofi_differs);
+            out.hifi_differences += usize::from(case.hifi_differs);
+            if let Some(d) = &case.lofi {
+                out.lofi_filtered += 1;
+                out.lofi_clusters.add(&case.name, d);
             }
-            out.total_paths += n_paths;
-            for case in cases {
-                out.lofi_differences += usize::from(case.lofi_differs);
-                out.hifi_differences += usize::from(case.hifi_differs);
-                if let Some(d) = &case.lofi {
-                    out.lofi_filtered += 1;
-                    out.lofi_clusters.add(&case.name, d);
-                }
-                if let Some(d) = &case.hifi {
-                    out.hifi_filtered += 1;
-                    out.hifi_clusters.add(&case.name, d);
-                }
-                for dev in case.deviations() {
-                    record_deviation(&mut out.deviations, dev);
-                }
+            if let Some(d) = &case.hifi {
+                out.hifi_filtered += 1;
+                out.hifi_clusters.add(&case.name, d);
+            }
+            for dev in case.deviations() {
+                record_deviation(&mut out.deviations, dev);
             }
         }
-        solver_queries
-    });
-    drop(run_span);
-    drop(run_frame);
-
-    // Pipeline-level wall timers: the attribution table `pokemu-report
-    // perf` checks against (setup + explore_insns + parallel + analyze
-    // must cover ≥95% of total). Timer metrics are nondeterministic by
-    // contract, so they are only fed when a timing consumer is active.
-    if prof::timing_enabled() {
-        metrics::timer("pipeline.ns.setup").add(setup_wall);
-        metrics::timer("pipeline.ns.explore_insns").add(explore_insns);
-        metrics::timer("pipeline.ns.parallel").add(parallel_wall);
-        metrics::timer("pipeline.ns.analyze").add(analyze);
-        metrics::timer("pipeline.ns.total").add(run_start.elapsed());
     }
+    let analyze = scope.close();
+    let total_wall = run_scope.close();
 
     let delta = metrics::snapshot().since(&metrics_start);
     out.stages = StageStats {
@@ -596,7 +565,7 @@ pub fn run_cross_validation(config: PipelineConfig) -> CrossValidation {
         execute: Duration::from_nanos(delta.timer_ns("stage.execute.ns")),
         analyze,
         parallel_wall,
-        total_wall: run_start.elapsed(),
+        total_wall,
         solver_queries,
         workers: pool_run.workers,
     };

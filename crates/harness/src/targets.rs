@@ -2,15 +2,12 @@
 //! behind one interface that boots a test program, runs it to halt or
 //! exception, and snapshots the final state.
 
-use std::time::Instant;
-
 use pokemu_hifi::HiFi;
 use pokemu_hwref::Vmm;
 use pokemu_isa::snapshot::Snapshot;
-use pokemu_isa::state::{attrs, Seg};
 use pokemu_lofi::{Fidelity, Lofi};
 use pokemu_rt::metrics;
-use pokemu_symx::Dom;
+pub use pokemu_testgen::apply_boot;
 use pokemu_testgen::{boot_state, layout, TestProgram};
 
 /// Step budget for one test program (a baseline-only program retires
@@ -26,13 +23,13 @@ pub trait Target {
 }
 
 /// Bills one target execution: a deterministic run counter
-/// (`target.<name>.runs`) plus, when timing is on, wall time in
-/// `target.<name>.ns`. The per-run mean `ns / runs` is what
+/// (`target.<name>.runs`) plus a `target.<name>` scope whose wall time
+/// lands in `target.<name>.ns`. The per-run mean `ns / runs` is what
 /// `pokemu-report perf` turns into the lofi/hifi throughput ratio — the
 /// direct observable for the e3 inversion (DBT slower than the
 /// interpreter on short programs).
 fn billed<F: FnOnce() -> Snapshot>(name: &'static str, run: F) -> Snapshot {
-    let (runs, ns, frame) = match name {
+    let (runs, ns, scope) = match name {
         "hifi" => (
             metrics::counter("target.hifi.runs"),
             metrics::timer("target.hifi.ns"),
@@ -50,13 +47,8 @@ fn billed<F: FnOnce() -> Snapshot>(name: &'static str, run: F) -> Snapshot {
         ),
     };
     runs.inc();
-    let _f = pokemu_rt::prof::frame(frame);
-    let t = pokemu_rt::prof::timing_enabled().then(Instant::now);
-    let snap = run();
-    if let Some(t) = t {
-        ns.add(t.elapsed());
-    }
-    snap
+    let _scope = pokemu_rt::scope!(scope).timer(ns);
+    run()
 }
 
 /// The Hi-Fi emulator as a target.
@@ -116,17 +108,12 @@ impl Target for LofiTarget {
                 m.cr0 = boot.cr0;
                 m.eip = boot.eip;
                 m.gpr[4] = boot.esp;
-                for i in 0..6 {
-                    let typ: u16 = if i == 1 { 0xb } else { 0x3 };
-                    m.segs[i] = pokemu_lofi::state::LofiSeg {
-                        selector: 0x8,
-                        base: 0,
-                        limit: 0xffff_ffff,
-                        attrs: typ
-                            | (1 << attrs::S as u16)
-                            | (1 << attrs::P as u16)
-                            | (1 << attrs::DB as u16)
-                            | (1 << attrs::G as u16),
+                for (s, b) in m.segs.iter_mut().zip(boot.segs) {
+                    *s = pokemu_lofi::state::LofiSeg {
+                        selector: b.selector,
+                        base: b.base,
+                        limit: b.limit,
+                        attrs: b.attrs,
                     };
                 }
             }
@@ -155,27 +142,6 @@ impl Target for HardwareTarget {
             let reason = vmm.run(STEP_BUDGET);
             vmm.snapshot(reason)
         })
-    }
-}
-
-/// Applies the boot-loader state to a reference-interpreter machine.
-pub fn apply_boot(d: &mut pokemu_symx::Concrete, m: &mut pokemu_isa::Machine<pokemu_symx::CVal>) {
-    let boot = boot_state();
-    m.cr0 = d.constant(32, boot.cr0 as u64);
-    m.eip = boot.eip;
-    m.gpr[4] = d.constant(32, boot.esp as u64);
-    for seg in Seg::ALL {
-        let typ: u64 = if seg == Seg::Cs { 0xb } else { 0x3 };
-        let a = typ
-            | (1 << attrs::S as u64)
-            | (1 << attrs::P as u64)
-            | (1 << attrs::DB as u64)
-            | (1 << attrs::G as u64);
-        let s = &mut m.segs[seg as usize];
-        s.selector = d.constant(16, 0x8);
-        s.cache.base = d.constant(32, 0);
-        s.cache.limit = d.constant(32, 0xffff_ffff);
-        s.cache.attrs = d.constant(attrs::WIDTH, a);
     }
 }
 

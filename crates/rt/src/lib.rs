@@ -18,11 +18,10 @@
 //! coverage gate), [`flight`] (a per-thread ring buffer of recent events,
 //! dumped post-hoc on panic or cross-validation deviation), and [`fault`]
 //! (named deterministic fault-injection points, armed via `POKEMU_FAULT`,
-//! that chaos-test the quarantine and budget layers), and [`prof`] (an
-//! instrumenting self-profiler: per-thread scoped frames aggregated by
-//! stack path, exported as collapsed-stack `.folded` files for flamegraph
-//! tooling, one relaxed load per site when `POKEMU_PROF` is off), and
-//! [`history`] (an append-only, content-hashed cross-run ledger under
+//! that chaos-test the quarantine and budget layers), [`scope`] (the one
+//! instrumentation primitive: the [`scope!`] guard, whose close feeds the
+//! [`trace`] spans, the [`prof`] collapsed-stack profile and an attached
+//! timer metric), and [`history`] (an append-only, content-hashed cross-run ledger under
 //! `target/history/` — the substrate for `pokemu-report compare`, `trend`,
 //! and the CI trend gate).
 //!
@@ -44,6 +43,7 @@ pub mod pool;
 pub mod prof;
 pub mod prop;
 pub mod rng;
+pub mod scope;
 pub mod trace;
 
 pub use coverage::{CoverageMap, CoverageSnapshot, MapSnapshot};
@@ -52,7 +52,7 @@ pub use flight::FlightEvent;
 pub use history::RunRecord;
 pub use metrics::{Counter, Histogram, MetricsSnapshot, Timer};
 pub use pool::{for_each, PoolRun, QuarantineRecord, WorkerStats};
-pub use prof::{FrameGuard, FrameStat};
+pub use prof::FrameStat;
 pub use prop::Gen;
 pub use rng::{mix64, Rng, SplitMix64};
 pub use trace::{SpanEvent, SpanGuard, TracePaths};

@@ -126,10 +126,10 @@ pub fn for_each(threads: usize, items: usize, f: impl Fn(usize) + Sync) -> PoolR
 /// The pool never spawns a worker that cannot receive an item: the thread
 /// count is clamped to the item count, and zero items spawn zero workers —
 /// so [`PoolRun::workers`] reports live workers only, never idle padding.
-/// Each worker drains its trace buffer ([`crate::trace::flush_thread`]) and
-/// merges its profiler aggregate ([`crate::prof::flush_thread`]) as it
-/// exits, so spans and frames recorded inside `f` are visible to a
-/// subsequent export without further coordination.
+/// Each worker hands its trace events and profile aggregate to the global
+/// tables with one [`crate::scope::flush_thread`] as it exits, so scopes
+/// closed inside `f` are visible to a subsequent export without further
+/// coordination.
 pub fn for_each_budgeted(
     threads: usize,
     items: usize,
@@ -204,8 +204,7 @@ pub fn for_each_budgeted(
                             }
                         }
                     }
-                    crate::trace::flush_thread();
-                    crate::prof::flush_thread();
+                    crate::scope::flush_thread();
                     stats
                 })
             })

@@ -1,27 +1,29 @@
-//! Instrumenting self-profiler: per-thread scoped frames with wall-time
-//! attribution per call-site and collapsed-stack export.
+//! The profile sink: wall-time attribution per call-site stack, exported
+//! as a collapsed-stack profile.
 //!
 //! Where [`crate::trace`] records *individual* span events for timeline
 //! visualization (every event is kept, bounded by the ring), `prof`
-//! *aggregates in place*: each thread keeps a stack of open frames and a
-//! map from the current stack path (`root;child;leaf`) to accumulated call
-//! counts, total time, and **self time** (total minus time spent in child
-//! frames). The aggregate is merged into a process-global table when a
-//! thread flushes, and [`export`] writes the table as a collapsed-stack
-//! `.folded` file under `target/prof/` — the format `inferno`,
-//! speedscope, and `flamegraph.pl` all consume (one line per stack:
-//! `frame;frame;frame <self-µs>`).
+//! *aggregates in place*: each [`Scope`](crate::scope::Scope) that opened
+//! while profiling was on adds, when it closes, one call, its total time
+//! and its **self time** (total minus time spent in child scopes) to the
+//! entry for its stack path (`root;child;leaf`) on the thread's scope
+//! stack. The thread's aggregate is merged into a process-global table
+//! when the thread flushes, and [`export`] writes the table as a
+//! collapsed-stack `.folded` file under `target/prof/` — the format
+//! `inferno`, speedscope, and `flamegraph.pl` all consume (one line per
+//! stack: `frame;frame;frame <self-µs>`).
 //!
 //! Design constraints, matching the rest of the observability layer:
 //!
-//! * **Off by default, one relaxed load per disabled site.** Enable with
-//!   `POKEMU_PROF=1` or [`set_enabled`]. With profiling off, [`frame`]
-//!   returns `None` after a single relaxed atomic load, so PR-1's
-//!   deterministic-replay guarantees are untouched: profiling never feeds
-//!   back into counter metrics or exploration decisions.
-//! * **No locks on the hot path.** Frames aggregate into a thread-local
-//!   `BTreeMap`; the global table is only touched by [`flush_thread`]
-//!   (pool workers flush on exit, like the trace layer) and [`export`].
+//! * **Off by default, one relaxed load per scope.** Enable with
+//!   `POKEMU_PROF=1` or [`set_enabled`]. Profiling never feeds back into
+//!   counter metrics or exploration decisions, so the deterministic-replay
+//!   guarantees are untouched.
+//! * **No locks and no allocation on the hot path.** A close looks its
+//!   path up in a thread-local `BTreeMap` by `&str` and allocates only the
+//!   first time a path is seen; the global table is only touched by
+//!   [`crate::scope::flush_thread`] (pool workers flush on exit) and
+//!   [`export`].
 //! * **Wall time only.** Self-time is wall-clock nanoseconds; the folded
 //!   export rounds to microseconds because that is what flamegraph
 //!   tooling expects as integer sample counts.
@@ -32,9 +34,8 @@ use std::io::Write as _;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, OnceLock};
-use std::time::Instant;
 
-/// Environment variable that turns frame recording on (any non-empty value
+/// Environment variable that turns profiling on (any non-empty value
 /// other than `0`) and makes the pipeline export a `.folded` profile when
 /// it finishes.
 pub const PROF_ENV: &str = "POKEMU_PROF";
@@ -51,28 +52,17 @@ pub fn env_enabled() -> bool {
     })
 }
 
-/// Whether frame recording is currently on. One relaxed load — this is the
-/// per-site cost when profiling is disabled.
+/// Whether profiling is currently on. One relaxed load — this is the
+/// per-scope cost of this sink when profiling is disabled.
 #[inline]
 pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed) || env_enabled()
 }
 
-/// Turns frame recording on or off process-wide. The environment variable
+/// Turns profiling on or off process-wide. The environment variable
 /// [`PROF_ENV`] wins over `set_enabled(false)`.
 pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
-}
-
-/// Whether *any* wall-time attribution consumer is active: the profiler
-/// itself or the trace layer. Instrumentation that samples `Instant::now`
-/// outside a frame/span guard (per-origin solver timers, the symx time
-/// split) gates on this so a plain counters-only run pays no timestamp
-/// syscalls, while either `POKEMU_PROF=1` or `POKEMU_TRACE=1` lights up
-/// the full latency attribution.
-#[inline]
-pub fn timing_enabled() -> bool {
-    enabled() || crate::trace::enabled()
 }
 
 /// Accumulated statistics for one stack path.
@@ -88,109 +78,52 @@ pub struct FrameStat {
     pub self_ns: u64,
 }
 
-struct OpenFrame {
-    start: Instant,
-    child_ns: u64,
-    /// Length of the thread's path string before this frame was pushed;
-    /// popping truncates back to it.
-    path_len: usize,
-}
-
-#[derive(Default)]
-struct ThreadProf {
-    /// The current stack as a `;`-joined path, maintained incrementally so
-    /// aggregation never re-joins frame names.
-    path: String,
-    stack: Vec<OpenFrame>,
-    agg: BTreeMap<String, FrameStat>,
+impl FrameStat {
+    fn add(&mut self, other: FrameStat) {
+        self.calls += other.calls;
+        self.total_ns += other.total_ns;
+        self.self_ns += other.self_ns;
+    }
 }
 
 thread_local! {
-    static THREAD: RefCell<ThreadProf> = RefCell::new(ThreadProf::default());
+    static THREAD: RefCell<BTreeMap<String, FrameStat>> = const { RefCell::new(BTreeMap::new()) };
 }
 
 fn global() -> &'static Mutex<BTreeMap<String, FrameStat>> {
-    static GLOBAL: OnceLock<Mutex<BTreeMap<String, FrameStat>>> = OnceLock::new();
-    GLOBAL.get_or_init(|| Mutex::new(BTreeMap::new()))
+    static GLOBAL: Mutex<BTreeMap<String, FrameStat>> = Mutex::new(BTreeMap::new());
+    &GLOBAL
 }
 
-/// RAII guard for one profiler frame: attributes wall time to the current
-/// stack path when dropped.
-#[derive(Debug)]
-#[must_use = "dropping the guard immediately records a zero-length frame"]
-pub struct FrameGuard {
-    _priv: (),
-}
-
-/// Opens a frame named `name` on the current thread's profiler stack;
-/// `None` when profiling is disabled (one relaxed load).
-#[inline]
-pub fn frame(name: &'static str) -> Option<FrameGuard> {
-    if !enabled() {
-        return None;
-    }
-    THREAD.with(|t| {
-        let mut t = t.borrow_mut();
-        let path_len = t.path.len();
-        if path_len > 0 {
-            t.path.push(';');
-        }
-        t.path.push_str(name);
-        t.stack.push(OpenFrame {
-            start: Instant::now(),
-            child_ns: 0,
-            path_len,
-        });
-    });
-    Some(FrameGuard { _priv: () })
-}
-
-impl Drop for FrameGuard {
-    fn drop(&mut self) {
-        THREAD.with(|t| {
-            let mut t = t.borrow_mut();
-            let Some(frame) = t.stack.pop() else {
-                return; // flushed mid-frame; nothing sensible to record
-            };
-            let total_ns = frame.start.elapsed().as_nanos() as u64;
-            let self_ns = total_ns.saturating_sub(frame.child_ns);
-            let path = t.path.clone();
-            let stat = t.agg.entry(path).or_default();
-            stat.calls += 1;
-            stat.total_ns += total_ns;
-            stat.self_ns += self_ns;
-            t.path.truncate(frame.path_len);
-            if let Some(parent) = t.stack.last_mut() {
-                parent.child_ns += total_ns;
+/// Adds one closed scope at stack path `path` to the thread's aggregate.
+pub(crate) fn record(path: &str, total_ns: u64, self_ns: u64) {
+    let stat = FrameStat {
+        calls: 1,
+        total_ns,
+        self_ns,
+    };
+    THREAD.with(|agg| {
+        let mut agg = agg.borrow_mut();
+        match agg.get_mut(path) {
+            Some(slot) => slot.add(stat),
+            None => {
+                agg.insert(path.to_owned(), stat);
             }
-        });
-    }
-}
-
-/// Runs `f` under a frame named `name`. Sugar for a [`frame`] guard around
-/// a closure; the disabled cost is the same single relaxed load.
-pub fn framed<T>(name: &'static str, f: impl FnOnce() -> T) -> T {
-    let _g = frame(name);
-    f()
+        }
+    });
 }
 
 /// Merges the current thread's aggregate into the process-global table
-/// (blocking). Pool workers call this as they exit, mirroring
-/// [`crate::trace::flush_thread`]; call it manually on long-lived threads
-/// before [`export`] or [`take`].
-pub fn flush_thread() {
-    THREAD.with(|t| {
-        let mut t = t.borrow_mut();
-        if t.agg.is_empty() {
+/// (blocking).
+pub(crate) fn flush_thread() {
+    THREAD.with(|agg| {
+        let agg = std::mem::take(&mut *agg.borrow_mut());
+        if agg.is_empty() {
             return;
         }
-        let agg = std::mem::take(&mut t.agg);
         let mut g = global().lock().unwrap_or_else(|e| e.into_inner());
         for (path, stat) in agg {
-            let slot = g.entry(path).or_default();
-            slot.calls += stat.calls;
-            slot.total_ns += stat.total_ns;
-            slot.self_ns += stat.self_ns;
+            g.entry(path).or_default().add(stat);
         }
     });
 }
@@ -245,16 +178,8 @@ pub fn export(run: &str) -> std::io::Result<PathBuf> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::MutexGuard;
+    use crate::scope::{flush_thread, test_lock as serialize};
     use std::time::Duration;
-
-    /// Profiling is process-global state; tests serialize on this lock.
-    fn serialize() -> MutexGuard<'static, ()> {
-        static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-        LOCK.get_or_init(|| Mutex::new(()))
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-    }
 
     #[test]
     fn disabled_frame_returns_none() {
@@ -263,7 +188,16 @@ mod tests {
         if env_enabled() {
             return; // cannot observe the disabled path under POKEMU_PROF=1
         }
-        assert!(frame("test.disabled").is_none());
+        take();
+        crate::trace::set_enabled(true);
+        drop(crate::scope!("test.prof.disabled"));
+        crate::trace::set_enabled(false);
+        let spans = crate::trace::drain();
+        assert!(
+            spans.iter().any(|e| e.name == "test.prof.disabled"),
+            "the trace sink records independently of the profile sink"
+        );
+        assert!(take().is_empty(), "no frame with profiling off");
     }
 
     #[test]
@@ -272,12 +206,11 @@ mod tests {
         set_enabled(true);
         take(); // reset
         std::thread::spawn(|| {
-            set_enabled(true);
             {
-                let _outer = frame("outer");
+                let _outer = crate::scope!("outer");
                 std::thread::sleep(Duration::from_millis(4));
                 for _ in 0..2 {
-                    let _inner = frame("inner");
+                    let _inner = crate::scope!("inner");
                     std::thread::sleep(Duration::from_millis(2));
                 }
             }
@@ -315,14 +248,13 @@ mod tests {
         set_enabled(true);
         take();
         std::thread::spawn(|| {
-            set_enabled(true);
             {
-                let _a = frame("pipeline");
+                let _a = crate::scope!("pipeline");
                 {
-                    let _b = frame("stage_b");
+                    let _b = crate::scope!("stage_b");
                     std::thread::sleep(Duration::from_millis(2));
                 }
-                let _c = frame("stage_a");
+                let _c = crate::scope!("stage_a");
                 std::thread::sleep(Duration::from_millis(2));
             }
             flush_thread();
@@ -346,12 +278,5 @@ mod tests {
         assert_eq!(paths, sorted, "folded output is path-sorted");
         assert!(paths.iter().any(|p| p == "pipeline;stage_a"));
         assert!(paths.iter().any(|p| p == "pipeline;stage_b"));
-    }
-
-    #[test]
-    fn framed_runs_the_closure_when_disabled() {
-        let _g = serialize();
-        set_enabled(false);
-        assert_eq!(framed("test.closure", || 41 + 1), 42);
     }
 }

@@ -1,21 +1,22 @@
-//! Structured spans for the PokeEMU pipeline, with Chrome `trace_event`
-//! export.
+//! The trace sink: Chrome `trace_event` spans recorded by closing
+//! [`Scope`](crate::scope::Scope)s.
 //!
 //! Design (the whole layer is zero-dependency and safe Rust):
 //!
+//! * Each scope that opens while tracing is on becomes one *complete*
+//!   [`SpanEvent`] when it closes: begin timestamp, duration, parent span
+//!   id (the nearest enclosing traced scope on the thread's scope stack)
+//!   and `key=value` attributes.
 //! * Each thread owns a bounded event buffer (a flat ring: events append
 //!   until capacity; when full, new events are *dropped and counted* in the
 //!   `trace.dropped_events` metric rather than blocking the instrumented
 //!   code). The recording hot path never takes a lock: buffers drain to the
 //!   global collector in batches with `try_lock`, at the half-full
 //!   high-water mark, and with a blocking flush only at explicit sync
-//!   points ([`flush_thread`], pool-worker exit, [`export`]).
-//! * Spans form a per-thread stack: [`span!`] returns an RAII guard that
-//!   records one *complete* event (begin timestamp + duration + parent span
-//!   id + `key=value` attributes) when dropped.
-//! * Recording is **off by default**. The only cost at a disabled macro
-//!   site is one relaxed atomic load. Enable with `POKEMU_TRACE=1` in the
-//!   environment or [`set_enabled`] (the pipeline does this for
+//!   points ([`crate::scope::flush_thread`], pool-worker exit, [`export`]).
+//! * Recording is **off by default**; a scope then pays one relaxed atomic
+//!   load for this sink. Enable with `POKEMU_TRACE=1` in the environment or
+//!   [`set_enabled`] (the pipeline does this for
 //!   `PipelineConfig { trace: true }`).
 //! * [`export`] serializes everything collected so far to
 //!   `target/trace/<run>.trace.json` (Chrome `trace_event` JSON, loadable
@@ -60,7 +61,7 @@ pub fn env_enabled() -> bool {
 }
 
 /// Whether span recording is currently on. One relaxed load — this is the
-/// per-macro-site cost when tracing is disabled.
+/// per-scope cost of this sink when tracing is disabled.
 #[inline]
 pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed) || env_enabled()
@@ -79,7 +80,17 @@ fn epoch() -> Instant {
 
 /// Nanoseconds since the process trace epoch.
 pub fn now_ns() -> u64 {
-    epoch().elapsed().as_nanos() as u64
+    ns_since_epoch(Instant::now())
+}
+
+/// `t` as nanoseconds since the process trace epoch.
+pub(crate) fn ns_since_epoch(t: Instant) -> u64 {
+    t.saturating_duration_since(epoch()).as_nanos() as u64
+}
+
+/// A fresh process-wide span id (never 0).
+pub(crate) fn next_span_id() -> u64 {
+    NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed)
 }
 
 /// One completed span, as stored in the collector.
@@ -103,8 +114,6 @@ pub struct SpanEvent {
 
 struct ThreadBuf {
     tid: u64,
-    /// Ids of the currently open spans, innermost last.
-    stack: Vec<u64>,
     buf: Vec<SpanEvent>,
     cap: usize,
 }
@@ -112,7 +121,6 @@ struct ThreadBuf {
 thread_local! {
     static THREAD: RefCell<ThreadBuf> = RefCell::new(ThreadBuf {
         tid: NEXT_THREAD_ID.fetch_add(1, Ordering::Relaxed),
-        stack: Vec::new(),
         buf: Vec::new(),
         cap: DEFAULT_BUFFER_CAPACITY,
     });
@@ -144,7 +152,15 @@ pub fn set_thread_buffer_capacity(cap: usize) {
     THREAD.with(|t| t.borrow_mut().cap = cap.max(1));
 }
 
-fn record(ev: SpanEvent) {
+/// Buffers one closed span on the current thread.
+pub(crate) fn record(
+    name: &'static str,
+    id: u64,
+    parent: u64,
+    start_ns: u64,
+    dur_ns: u64,
+    attrs: Vec<(&'static str, String)>,
+) {
     THREAD.with(|t| {
         let mut t = t.borrow_mut();
         if t.buf.len() >= t.cap {
@@ -158,7 +174,16 @@ fn record(ev: SpanEvent) {
                 return;
             }
         }
-        t.buf.push(ev);
+        let tid = t.tid;
+        t.buf.push(SpanEvent {
+            name,
+            id,
+            parent,
+            tid,
+            start_ns,
+            dur_ns,
+            attrs,
+        });
         if t.buf.len() * 2 >= t.cap {
             // High-water mark: drain opportunistically, never blocking.
             if let Ok(mut g) = collector().try_lock() {
@@ -169,9 +194,7 @@ fn record(ev: SpanEvent) {
 }
 
 /// Drains the current thread's buffer into the global collector (blocking).
-/// Pool workers call this as they exit; call it manually on long-lived
-/// threads before [`export`].
-pub fn flush_thread() {
+pub(crate) fn flush_thread() {
     THREAD.with(|t| {
         let mut t = t.borrow_mut();
         if !t.buf.is_empty() {
@@ -189,139 +212,15 @@ pub fn drain() -> Vec<SpanEvent> {
     std::mem::take(&mut *collector().lock().unwrap_or_else(|e| e.into_inner()))
 }
 
-/// RAII guard for one span: records a [`SpanEvent`] when dropped.
-///
-/// Create guards through the [`span!`](crate::span) macro (or [`span`] /
-/// [`span_with`]); they return `None` when tracing is disabled, so the
-/// instrumented code pays only the enabled check.
-#[derive(Debug)]
-pub struct SpanGuard {
-    name: &'static str,
-    id: u64,
-    parent: u64,
-    tid: u64,
-    start: Instant,
-    start_ns: u64,
-    attrs: Vec<(&'static str, String)>,
-}
+/// The span guard: the one instrumentation [`Scope`](crate::scope::Scope),
+/// under the name trace consumers know it by.
+pub type SpanGuard = crate::scope::Scope;
 
-impl SpanGuard {
-    fn begin(name: &'static str, attrs: Vec<(&'static str, String)>) -> SpanGuard {
-        let id = NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed);
-        let (tid, parent) = THREAD.with(|t| {
-            let mut t = t.borrow_mut();
-            let parent = t.stack.last().copied().unwrap_or(0);
-            t.stack.push(id);
-            (t.tid, parent)
-        });
-        SpanGuard {
-            name,
-            id,
-            parent,
-            tid,
-            start: Instant::now(),
-            start_ns: now_ns(),
-            attrs,
-        }
-    }
-}
-
-impl Drop for SpanGuard {
-    fn drop(&mut self) {
-        let dur_ns = self.start.elapsed().as_nanos() as u64;
-        THREAD.with(|t| {
-            let mut t = t.borrow_mut();
-            // Pop this span (guards drop in LIFO order per thread, but be
-            // defensive about leaked guards).
-            if let Some(pos) = t.stack.iter().rposition(|&id| id == self.id) {
-                t.stack.truncate(pos);
-            }
-        });
-        record(SpanEvent {
-            name: self.name,
-            id: self.id,
-            parent: self.parent,
-            tid: self.tid,
-            start_ns: self.start_ns,
-            dur_ns,
-            attrs: std::mem::take(&mut self.attrs),
-        });
-    }
-}
-
-/// Opens a span with no attributes; `None` when tracing is disabled.
-pub fn span(name: &'static str) -> Option<SpanGuard> {
-    if enabled() {
-        Some(SpanGuard::begin(name, Vec::new()))
-    } else {
-        None
-    }
-}
-
-/// Opens a span with pre-built attributes; `None` when tracing is disabled.
-/// Prefer the [`span!`](crate::span) macro, which skips attribute
-/// formatting entirely when disabled.
+/// Opens a scope with pre-built attributes when tracing is on; `None`
+/// otherwise. Instrumentation sites use [`scope!`](crate::scope), which
+/// also opens a scope when only profiling or a timer wants it.
 pub fn span_with(name: &'static str, attrs: Vec<(&'static str, String)>) -> Option<SpanGuard> {
-    if enabled() {
-        Some(SpanGuard::begin(name, attrs))
-    } else {
-        None
-    }
-}
-
-/// Runs `f` under a span named `name`, returning its result *and* the
-/// measured duration.
-///
-/// The duration is measured whether or not tracing is enabled, which is
-/// what lets `StageStats` stay populated (and byte-compatible) with tracing
-/// off while being a pure view over the span layer when it is on.
-pub fn timed<T>(name: &'static str, f: impl FnOnce() -> T) -> (T, std::time::Duration) {
-    timed_with(name, Vec::new, f)
-}
-
-/// [`timed`] with lazily-built attributes (only evaluated when enabled).
-pub fn timed_with<T>(
-    name: &'static str,
-    attrs: impl FnOnce() -> Vec<(&'static str, String)>,
-    f: impl FnOnce() -> T,
-) -> (T, std::time::Duration) {
-    let guard = if enabled() {
-        Some(SpanGuard::begin(name, attrs()))
-    } else {
-        None
-    };
-    let t = Instant::now();
-    let out = f();
-    let dur = t.elapsed();
-    drop(guard);
-    (out, dur)
-}
-
-/// Opens a span recording begin/end timestamps and `key = value` attributes:
-///
-/// ```
-/// pokemu_rt::trace::set_enabled(true);
-/// let insn = "push_r32";
-/// let _guard = pokemu_rt::span!("explore_state_space", insn = insn, paths = 42);
-/// ```
-///
-/// Expands to one relaxed atomic check when tracing is disabled; attribute
-/// expressions are not evaluated in that case.
-#[macro_export]
-macro_rules! span {
-    ($name:expr) => {
-        $crate::trace::span($name)
-    };
-    ($name:expr, $($key:ident = $value:expr),+ $(,)?) => {
-        if $crate::trace::enabled() {
-            $crate::trace::span_with(
-                $name,
-                vec![$((stringify!($key), format!("{}", $value))),+],
-            )
-        } else {
-            None
-        }
-    };
+    enabled().then(|| SpanGuard::open(name, || attrs))
 }
 
 /// Paths written by [`export`].
@@ -433,16 +332,7 @@ pub fn export(run: &str) -> std::io::Result<TracePaths> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::MutexGuard;
-
-    /// Span recording is process-global state; tests that toggle it or
-    /// inspect the collector serialize on this lock.
-    fn serialize() -> MutexGuard<'static, ()> {
-        static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-        LOCK.get_or_init(|| Mutex::new(()))
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-    }
+    use crate::scope::test_lock as serialize;
 
     #[test]
     fn disabled_span_macro_returns_none() {
@@ -451,8 +341,10 @@ mod tests {
         if env_enabled() {
             return; // cannot observe the disabled path under POKEMU_TRACE=1
         }
-        let s = crate::span!("test.disabled", ignored = 1);
-        assert!(s.is_none());
+        drain();
+        assert!(span_with("test.disabled", Vec::new()).is_none());
+        drop(crate::scope!("test.disabled", ignored = 1));
+        assert!(drain().iter().all(|e| e.name != "test.disabled"));
     }
 
     #[test]
@@ -461,8 +353,8 @@ mod tests {
         set_enabled(true);
         drain();
         {
-            let _outer = crate::span!("test.outer");
-            let _inner = crate::span!("test.inner", depth = 2);
+            let _outer = crate::scope!("test.outer");
+            let _inner = crate::scope!("test.inner", depth = 2);
         }
         set_enabled(false);
         let events = drain();
@@ -486,9 +378,9 @@ mod tests {
         drain();
         let main_tid = THREAD.with(|t| t.borrow().tid);
         {
-            let _outer = crate::span!("test.cross_outer");
+            let _outer = crate::scope!("test.cross_outer");
             std::thread::spawn(|| {
-                let _child = crate::span!("test.cross_child");
+                let _child = crate::scope!("test.cross_child");
                 drop(_child);
                 flush_thread();
             })
@@ -520,7 +412,7 @@ mod tests {
         let hold = collector().lock().unwrap_or_else(|e| e.into_inner());
         set_thread_buffer_capacity(4);
         for _ in 0..10 {
-            let _s = crate::span!("test.dropped");
+            let _s = crate::scope!("test.dropped");
         }
         drop(hold);
         set_thread_buffer_capacity(DEFAULT_BUFFER_CAPACITY);
@@ -537,7 +429,7 @@ mod tests {
         set_enabled(true);
         drain();
         {
-            let _s = crate::span!("test.export", insn = "push \"eax\"");
+            let _s = crate::scope!("test.export", insn = "push \"eax\"");
         }
         set_enabled(false);
         let paths = export("rt-trace-selftest").expect("export succeeds");
@@ -565,9 +457,9 @@ mod tests {
     fn timed_measures_even_when_disabled() {
         let _g = serialize();
         set_enabled(false);
-        let ((), dur) = timed("test.timed", || {
-            std::thread::sleep(std::time::Duration::from_millis(2))
-        });
-        assert!(dur >= std::time::Duration::from_millis(2));
+        let scope = crate::scope!("test.timed");
+        std::thread::sleep(std::time::Duration::from_millis(2));
+        assert!(scope.elapsed() >= std::time::Duration::from_millis(2));
+        assert!(scope.close() >= std::time::Duration::from_millis(2));
     }
 }

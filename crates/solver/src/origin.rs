@@ -18,7 +18,7 @@
 //!
 //! The billing itself is deterministic (counters keyed by a fixed label
 //! set); per-origin *latency* lands in the nondeterministic timer
-//! namespace, gated on `pokemu_rt::prof::timing_enabled()`.
+//! namespace, fed by the `solver.check` scope in every run.
 
 use std::cell::{Cell, RefCell};
 
@@ -43,8 +43,7 @@ thread_local! {
 
 /// Pre-resolved per-origin counter and timer handles. The counter is the
 /// deterministic half (`solver.queries.<origin>`); the timer
-/// (`solver.ns.<origin>`) accumulates wall time and is only fed when
-/// timing is enabled.
+/// (`solver.ns.<origin>`) accumulates wall time.
 pub(crate) fn handles(origin: &str) -> (metrics::Counter, metrics::Timer) {
     match origin {
         "feasibility" => (

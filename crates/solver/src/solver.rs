@@ -227,15 +227,12 @@ impl BvSolver {
     ///
     /// Panics if an assumption term does not have width 1.
     pub fn check(&mut self, pool: &TermPool, assumptions: &[TermId]) -> SatResult {
-        // Latency is only sampled while profiling or tracing is on: the
-        // extra clock reads are pure overhead otherwise. Sampling starts
-        // *before* fault injection so an armed latency fault shows up in
-        // the attribution (that visibility is what the bench-gate self-test
-        // relies on).
-        let t = pokemu_rt::prof::timing_enabled().then(Instant::now);
-        let _f = pokemu_rt::prof::frame("solver.check");
+        // The scope opens *before* fault injection so an armed latency
+        // fault shows up in the attribution (that visibility is what the
+        // bench-gate self-test relies on).
         let query_origin = origin::current();
         let (origin_queries, origin_ns) = origin::handles(query_origin);
+        let scope = pokemu_rt::scope!("solver.check").timer(origin_ns);
         self.stats.queries += 1;
         self.metrics.queries.inc();
         origin_queries.inc();
@@ -260,11 +257,7 @@ impl BvSolver {
                         origin::current_path_id()
                     )
                 });
-                if let Some(t) = t {
-                    let el = t.elapsed();
-                    self.metrics.query_ns.record_duration(el);
-                    origin_ns.add(el);
-                }
+                self.metrics.query_ns.record_duration(scope.close());
                 return SatResult::Unknown;
             }
         }
@@ -274,20 +267,17 @@ impl BvSolver {
             .collect();
         let budget_ref = budget.is_bounded().then_some(&budget);
         let r = self.blaster.sat().solve_budgeted(&lits, budget_ref);
-        if let Some(t) = t {
-            let el = t.elapsed();
-            self.metrics.query_ns.record_duration(el);
-            origin_ns.add(el);
-            if el >= SLOW_QUERY_NOTE {
-                flight::note("solver.slow", || {
-                    format!(
-                        "origin={query_origin} insn={} path={:016x} ms={}",
-                        origin::current_insn(),
-                        origin::current_path_id(),
-                        el.as_millis()
-                    )
-                });
-            }
+        let el = scope.close();
+        self.metrics.query_ns.record_duration(el);
+        if el >= SLOW_QUERY_NOTE {
+            flight::note("solver.slow", || {
+                format!(
+                    "origin={query_origin} insn={} path={:016x} ms={}",
+                    origin::current_insn(),
+                    origin::current_path_id(),
+                    el.as_millis()
+                )
+            });
         }
         match r {
             SatResult::Sat => {

@@ -15,7 +15,6 @@
 //! simple (§3.1.2, "Decision Tree").
 
 use std::collections::HashMap;
-use std::time::Instant;
 
 use pokemu_rt::{coverage, metrics, Rng};
 use pokemu_solver::{origin, BvSolver, Model, SatResult, TermId, TermPool, VarId, Width};
@@ -158,28 +157,6 @@ pub struct Executor {
     metrics: EngineMetrics,
 }
 
-/// Accumulates wall time into a timer on drop; inert (no clock reads) when
-/// neither profiling nor tracing wants latency attribution.
-struct TimeGuard {
-    start: Option<Instant>,
-    timer: metrics::Timer,
-}
-
-impl Drop for TimeGuard {
-    fn drop(&mut self) {
-        if let Some(start) = self.start {
-            self.timer.add(start.elapsed());
-        }
-    }
-}
-
-fn timed(timer: metrics::Timer) -> TimeGuard {
-    TimeGuard {
-        start: pokemu_rt::prof::timing_enabled().then(Instant::now),
-        timer,
-    }
-}
-
 /// Registry handles for the engine's counters (`symx.` namespace), resolved
 /// once per engine so hot sites pay one relaxed atomic add.
 #[derive(Debug, Clone, Copy)]
@@ -194,7 +171,7 @@ struct EngineMetrics {
     infeasible_paths: metrics::Counter,
     deadline_trips: metrics::Counter,
     /// Wall time in [`Dom::branch`] (fork bookkeeping + feasibility
-    /// resolution); fed only when timing is on.
+    /// resolution).
     fork_ns: metrics::Timer,
     /// Wall time resolving branch feasibility (the prune decision),
     /// a subset of `fork_ns`.
@@ -356,7 +333,7 @@ impl Executor {
     }
 
     fn check_feasible(&mut self, extra: TermId) -> bool {
-        let _t = timed(self.metrics.prune_ns);
+        let _scope = pokemu_rt::scope!("symx.prune").timer(self.metrics.prune_ns);
         let _o = origin::scoped(if self.in_summary {
             "summary"
         } else {
@@ -394,7 +371,7 @@ impl Executor {
             "explore is not reentrant; use summarize for nested runs"
         );
         self.exploring = true;
-        let _f = pokemu_rt::prof::frame("symx.explore");
+        let _scope = pokemu_rt::scope!("symx.explore");
         self.tree = DecisionTree::new();
         self.pick_cache.clear();
         let mut paths = Vec::new();
@@ -424,9 +401,9 @@ impl Executor {
                 break;
             }
             self.begin_path();
-            let path_span = pokemu_rt::span!("symx.path", iter = iterations);
+            let path_scope = pokemu_rt::scope!("symx.path", iter = iterations);
             let value = f(self);
-            drop(path_span);
+            drop(path_scope);
             if self.dead {
                 self.stats.dead_paths += 1;
                 self.metrics.dead_paths.inc();
@@ -438,7 +415,7 @@ impl Executor {
             }
             self.tree.finish_at(self.cur);
             let model_result = {
-                let _t = timed(self.metrics.model_ns);
+                let _scope = pokemu_rt::scope!("symx.model").timer(self.metrics.model_ns);
                 let _o = origin::scoped(if self.in_summary { "summary" } else { "model" });
                 origin::set_path_id(self.path_hash);
                 self.solver.check_with_model(&self.pool, &self.path)
@@ -509,8 +486,7 @@ impl Executor {
         inputs: &[(Width, &str)],
         mut f: impl FnMut(&mut Executor, &[TermId]) -> Vec<TermId>,
     ) -> Option<Summary> {
-        let _pf = pokemu_rt::prof::frame("symx.summarize");
-        let _t = timed(self.metrics.summary_ns);
+        let _scope = pokemu_rt::scope!("symx.summarize").timer(self.metrics.summary_ns);
         // Run on a scratch tree so the caller's exploration is untouched,
         // with a generous path budget independent of the caller's cap: the
         // whole point of a summary is to fold a multi-path computation, so
@@ -682,7 +658,7 @@ impl Dom for Executor {
             self.kill_path_at_current_node();
             return false;
         }
-        let _t = timed(self.metrics.fork_ns);
+        let _scope = pokemu_rt::scope!("symx.fork").timer(self.metrics.fork_ns);
         self.stats.branches += 1;
         self.metrics.forks.inc();
         self.branches_this_path += 1;
@@ -808,7 +784,7 @@ impl Dom for Executor {
     fn summary_hook(&mut self, key: &'static str, args: &[TermId]) -> Option<Vec<TermId>> {
         let summary = self.summaries.get(key)?.clone();
         self.metrics.summary_hits.inc();
-        let _t = timed(self.metrics.summary_ns);
+        let _scope = pokemu_rt::scope!("symx.apply_summary").timer(self.metrics.summary_ns);
         Some(summary.apply(&mut self.pool, args))
     }
 

@@ -9,7 +9,9 @@
 //! bootable images do.
 
 use pokemu_isa::asm::Asm;
-use pokemu_isa::state::{selector, Gpr, RawDescriptor, Seg};
+use pokemu_isa::state::{attrs, selector, Gpr, RawDescriptor, Seg};
+use pokemu_isa::Machine;
+use pokemu_symx::{CVal, Concrete, Dom};
 
 /// Physical address of the GDT.
 pub const GDT_BASE: u32 = 0x0000_1000;
@@ -149,7 +151,8 @@ pub fn emit_baseline(a: &mut Asm, code_base: u32) {
 /// A description of the *boot* state: what the off-the-shelf boot loader
 /// established before the baseline initializer runs (§4.1 — "the boot
 /// loader we use happens to already configure the machine in 32-bit
-/// protected mode"). Execution targets apply this directly.
+/// protected mode"). Execution targets apply this directly; the reference
+/// model's targets through [`apply_boot`].
 #[derive(Debug, Clone, Copy)]
 pub struct BootState {
     /// Initial EIP (start of the loaded image).
@@ -158,6 +161,24 @@ pub struct BootState {
     pub esp: u32,
     /// CR0 (PE set, paging off).
     pub cr0: u32,
+    /// Every segment register, in [`Seg::ALL`] order.
+    pub segs: [BootSeg; 6],
+}
+
+/// One segment register as the boot loader leaves it: the flat 4-GiB
+/// segment behind GDT selector `0x8`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BootSeg {
+    /// Visible selector.
+    pub selector: u16,
+    /// Cached base.
+    pub base: u32,
+    /// Cached byte-granular limit.
+    pub limit: u32,
+    /// Cached attributes ([`attrs`] layout): type `0xb` (execute/read,
+    /// accessed) for CS and `0x3` (read/write, accessed) otherwise, with
+    /// S, P, DB and G set.
+    pub attrs: u16,
 }
 
 /// The boot state used by every target.
@@ -166,6 +187,31 @@ pub fn boot_state() -> BootState {
         eip: CODE_BASE,
         esp: STACK_TOP,
         cr0: 1,
+        segs: Seg::ALL.map(|seg| BootSeg {
+            selector: 0x8,
+            base: 0,
+            limit: 0xffff_ffff,
+            attrs: if seg == Seg::Cs { 0xb } else { 0x3 }
+                | 1 << attrs::S
+                | 1 << attrs::P
+                | 1 << attrs::DB
+                | 1 << attrs::G,
+        }),
+    }
+}
+
+/// Applies the boot state to a reference-model machine (the Hi-Fi
+/// emulator's and the hardware oracle's).
+pub fn apply_boot(d: &mut Concrete, m: &mut Machine<CVal>) {
+    let boot = boot_state();
+    m.cr0 = d.constant(32, boot.cr0.into());
+    m.eip = boot.eip;
+    m.gpr[Gpr::Esp as usize] = d.constant(32, boot.esp.into());
+    for (s, b) in m.segs.iter_mut().zip(boot.segs) {
+        s.selector = d.constant(16, b.selector.into());
+        s.cache.base = d.constant(32, b.base.into());
+        s.cache.limit = d.constant(32, b.limit.into());
+        s.cache.attrs = d.constant(attrs::WIDTH, b.attrs.into());
     }
 }
 

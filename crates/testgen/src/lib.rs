@@ -15,5 +15,5 @@ pub mod layout;
 pub mod program;
 
 pub use gadgets::{GadgetError, GadgetPlan, StateItem, TestState};
-pub use layout::{boot_state, BootState};
+pub use layout::{apply_boot, boot_state, BootSeg, BootState};
 pub use program::{chain_path_id, fnv1a, ChainSegment, SegmentMeta, TestProgram};

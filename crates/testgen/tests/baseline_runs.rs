@@ -2,33 +2,16 @@
 //! same state, and a trivial test program halts cleanly on both.
 
 use pokemu_hifi::{HiFi, RunExit as HiExit};
-use pokemu_isa::state::{attrs, Seg};
+use pokemu_isa::state::Seg;
 use pokemu_lofi::{Fidelity, Lofi, RunExit as LoExit};
-use pokemu_symx::Dom;
-use pokemu_testgen::{boot_state, layout, TestProgram};
+use pokemu_testgen::{apply_boot, boot_state, layout, TestProgram};
 
 /// Applies the boot-loader state to the Hi-Fi emulator and loads the code.
 fn boot_hifi(prog: &TestProgram) -> HiFi {
-    let boot = boot_state();
     let mut emu = HiFi::new();
     {
         let (d, m) = emu.parts_mut();
-        m.cr0 = d.constant(32, boot.cr0 as u64);
-        m.eip = boot.eip;
-        m.gpr[4] = d.constant(32, boot.esp as u64);
-        for seg in Seg::ALL {
-            let typ: u64 = if seg == Seg::Cs { 0xb } else { 0x3 };
-            let a = typ
-                | (1 << attrs::S as u64)
-                | (1 << attrs::P as u64)
-                | (1 << attrs::DB as u64)
-                | (1 << attrs::G as u64);
-            let s = &mut m.segs[seg as usize];
-            s.selector = d.constant(16, 0x8);
-            s.cache.base = d.constant(32, 0);
-            s.cache.limit = d.constant(32, 0xffff_ffff);
-            s.cache.attrs = d.constant(attrs::WIDTH, a);
-        }
+        apply_boot(d, m);
     }
     emu.load_image(layout::CODE_BASE, &prog.code);
     emu
@@ -43,17 +26,12 @@ fn boot_lofi(prog: &TestProgram, fid: Fidelity) -> Lofi {
         m.cr0 = boot.cr0;
         m.eip = boot.eip;
         m.gpr[4] = boot.esp;
-        for i in 0..6 {
-            let typ: u16 = if i == 1 { 0xb } else { 0x3 };
-            m.segs[i] = pokemu_lofi::state::LofiSeg {
-                selector: 0x8,
-                base: 0,
-                limit: 0xffff_ffff,
-                attrs: typ
-                    | (1 << attrs::S as u16)
-                    | (1 << attrs::P as u16)
-                    | (1 << attrs::DB as u16)
-                    | (1 << attrs::G as u16),
+        for (s, b) in m.segs.iter_mut().zip(boot.segs) {
+            *s = pokemu_lofi::state::LofiSeg {
+                selector: b.selector,
+                base: b.base,
+                limit: b.limit,
+                attrs: b.attrs,
             };
         }
     }

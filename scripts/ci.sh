@@ -31,6 +31,17 @@ POKEMU_TRACE=1 POKEMU_PROF=1 POKEMU_RUN_MANIFEST=1 POKEMU_RUN_ID=smoke \
 cargo run --release --offline -p pokemu-bench --bin pokemu-report -- --check --top 5
 test -s target/prof/cross_validation.folded \
     || { echo "ERROR: POKEMU_PROF=1 run left no .folded profile" >&2; exit 1; }
+# Every instrumented site is one pokemu_rt::scope!, so each reaches both
+# sinks: sites once only profiled must be in the trace, sites once only
+# traced must be in the folded profile.
+for name in target.lofi solver.check; do
+    grep -qF "\"name\":\"$name\"" target/trace/cross_validation.trace.json \
+        || { echo "ERROR: scope $name missing from the trace" >&2; exit 1; }
+done
+for name in symx.path explore.insn_space; do
+    grep -Eq "(^|;)${name//./\\.}[; ]" target/prof/cross_validation.folded \
+        || { echo "ERROR: scope $name missing from the folded profile" >&2; exit 1; }
+done
 
 echo "== perf attribution gate"
 cargo run --release --offline -p pokemu-bench --bin pokemu-report -- perf --check --top 5
@@ -244,9 +255,9 @@ echo "== run ledger + trend gate (cross-run history, DESIGN.md §12)"
 HDIR=target/history-ci
 HLEDGER=$HDIR/ledger.jsonl
 rm -rf "$HDIR"
-POKEMU_HISTORY_DIR=$HDIR POKEMU_PROF=1 POKEMU_RUN_ID=hist-a \
+POKEMU_HISTORY_DIR=$HDIR POKEMU_RUN_ID=hist-a \
     cargo run --release --offline -p pokemu-bench --bin smoke-bench >/dev/null
-POKEMU_HISTORY_DIR=$HDIR POKEMU_PROF=1 POKEMU_RUN_ID=hist-b \
+POKEMU_HISTORY_DIR=$HDIR POKEMU_RUN_ID=hist-b \
     cargo run --release --offline -p pokemu-bench --bin smoke-bench >/dev/null
 cargo run --release --offline -p pokemu-bench --bin pokemu-report -- \
     compare hist-a hist-b --ledger "$HLEDGER" >target/history-ci/compare.out
@@ -263,7 +274,7 @@ echo "== compare attribution self-test (injected solver latency must be named)"
 # Arm a 2 ms latency fault on every solver.check call and append a third
 # record: `compare` against the healthy baseline must decompose the
 # wall-time regression down to a solver origin (solver.ns.<origin>) by name.
-POKEMU_HISTORY_DIR=$HDIR POKEMU_PROF=1 POKEMU_RUN_ID=hist-fault \
+POKEMU_HISTORY_DIR=$HDIR POKEMU_RUN_ID=hist-fault \
     POKEMU_FAULT='solver.check:latency=2:*' \
     cargo run --release --offline -p pokemu-bench --bin smoke-bench >/dev/null
 cargo run --release --offline -p pokemu-bench --bin pokemu-report -- \

@@ -48,9 +48,9 @@ echo "baseline refreshed: tests/baselines/fleet-merged.json"
 # two clean runs so `pokemu-report trend --check` starts from a passing
 # window that reflects the refreshed baselines.
 rm -rf target/history
-POKEMU_PROF=1 POKEMU_RUN_ID=seed-a \
+POKEMU_RUN_ID=seed-a \
     cargo run --release --offline -p pokemu-bench --bin smoke-bench >/dev/null
-POKEMU_PROF=1 POKEMU_RUN_ID=seed-b \
+POKEMU_RUN_ID=seed-b \
     cargo run --release --offline -p pokemu-bench --bin smoke-bench >/dev/null
 cargo run --release --offline -p pokemu-bench --bin pokemu-report -- trend --check
 echo "trend window reseeded: target/history/ledger.jsonl"
